@@ -46,10 +46,11 @@ bench-coord:
 bench-cluster:
 	$(GO) run ./cmd/volleybench -clusterjson BENCH_cluster.json
 
-# Benchmark the wire codec (gob vs hand-rolled binary, encode ns/msg and
-# allocs/op — must be 0) and end-to-end loopback TCP throughput in three
-# modes (gob, binary unbatched, binary batched) to BENCH_transport.json.
-# The headline gates: batched binary >= 10x gob msgs/sec, 0 encode allocs.
+# Benchmark the binary wire codec (encode ns/msg and allocs/op — must be
+# 0 — with the stdlib gob encoder as a reference row) and end-to-end
+# loopback TCP throughput, unbatched vs batched binary, to
+# BENCH_transport.json. The headline: batched over unbatched msgs/sec and
+# wire bytes/msg, and 0 encode allocs.
 bench-transport:
 	$(GO) run ./cmd/volleybench -transportjson BENCH_transport.json
 

@@ -48,7 +48,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write headline metrics (ratios, misdetect rates, wall clock) as JSON to this file instead of printing tables")
 	coordJSONPath := flag.String("coordjson", "", "benchmark the coordinator rebalance hot path at 100/1k/10k monitors and write ns/op and allocs/op as JSON to this file")
 	clusterJSONPath := flag.String("clusterjson", "", "benchmark consistent-hash task placement at 4/16/64 shards and write ns/op, allocs/op and movement fractions as JSON to this file")
-	transportJSONPath := flag.String("transportjson", "", "benchmark the wire codec (gob vs binary, batched vs not) end-to-end over loopback TCP and write throughput and bytes/msg as JSON to this file")
+	transportJSONPath := flag.String("transportjson", "", "benchmark the binary wire codec (encode cost, stdlib gob as a reference) and loopback TCP throughput unbatched vs batched, and write throughput and bytes/msg as JSON to this file")
 	alertsJSONPath := flag.String("alertsjson", "", "benchmark the alert registry hot paths (dedup raise, local observe, lifecycle, snapshot export) and write ns/op and allocs/op as JSON to this file")
 	streamingJSONPath := flag.String("streamingjson", "", "benchmark the streaming threshold sketches (resident bytes vs trace length, ns/observe, refresh cost vs sorted-copy baseline, million-series soak, per-preset rank error) and write the results as JSON to this file")
 	workloadJSONPath := flag.String("workloadjson", "", "run the workload families (entropy-flow, tenant-colo) end to end and write their savings-vs-misdetection curves and the correlation-gated tenant run as JSON to this file")

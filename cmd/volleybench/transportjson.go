@@ -48,19 +48,19 @@ type transportTCPEntry struct {
 }
 
 // transportBenchReport is the schema of BENCH_transport.json. The
-// headline numbers the PR gates on: SpeedupBatchedVsGob >= 10 and
-// EncodeAllocsPerMsg == 0.
+// headline numbers: batched over unbatched binary throughput and wire
+// bytes, and EncodeAllocsPerMsg, which must stay 0.
 type transportBenchReport struct {
-	GoMaxProcs          int                    `json:"gomaxprocs"`
-	Encode              []transportEncodeEntry `json:"encode"`
-	TCP                 []transportTCPEntry    `json:"tcp"`
-	SpeedupBatchedVsGob float64                `json:"speedup_batched_vs_gob"`
-	WireShrinkVsGob     float64                `json:"wire_shrink_vs_gob"`
-	EncodeAllocsPerMsg  float64                `json:"encode_allocs_per_msg"`
-	TotalWallClockNS    int64                  `json:"total_wall_clock_ns"`
+	GoMaxProcs                int                    `json:"gomaxprocs"`
+	Encode                    []transportEncodeEntry `json:"encode"`
+	TCP                       []transportTCPEntry    `json:"tcp"`
+	SpeedupBatchedVsUnbatched float64                `json:"speedup_batched_vs_unbatched"`
+	WireShrinkVsUnbatched     float64                `json:"wire_shrink_vs_unbatched"`
+	EncodeAllocsPerMsg        float64                `json:"encode_allocs_per_msg"`
+	TotalWallClockNS          int64                  `json:"total_wall_clock_ns"`
 }
 
-// benchReportMsg is the message shape both codecs race on: a yield
+// benchReportMsg is the message shape every row races on: a yield
 // report, the steady-state coordinator-ingest traffic.
 func benchReportMsg() transport.Message {
 	return transport.Message{
@@ -126,16 +126,17 @@ func runTransportTCP(mode string, opts ...transport.TCPOption) (transportTCPEntr
 }
 
 // writeTransportBenchJSON benchmarks the wire codec (encode microbench,
-// gob vs binary) and the full transport (end-to-end loopback TCP in
-// three modes) and writes BENCH_transport.json.
+// with stdlib gob as a reference that uses no transport code) and the
+// full transport (end-to-end loopback TCP, unbatched vs batched binary)
+// and writes BENCH_transport.json.
 func writeTransportBenchJSON(path string, out *os.File) error {
 	report := transportBenchReport{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	start := time.Now()
 	msg := benchReportMsg()
 
-	// Encode microbench: binary via AppendFrame into a reused buffer,
-	// gob via the stdlib encoder into a reused stream (its steady-state
-	// shape: the type dictionary is sent once per connection).
+	// Encode microbench: binary via AppendFrame into a reused buffer, and
+	// for reference stdlib gob into a reused stream (its steady-state
+	// shape: the type dictionary is sent once per stream).
 	binFrame, err := transport.AppendFrame(nil, &msg)
 	if err != nil {
 		return err
@@ -178,13 +179,12 @@ func writeTransportBenchJSON(path string, out *os.File) error {
 		BytesPerMsg: gobBytes, AllocsPerOp: gobBench.AllocsPerOp(), Iterations: gobBench.N,
 	})
 
-	// End-to-end TCP: the legacy gob stream, the binary codec without
-	// coalescing, and the binary codec with per-peer batching.
+	// End-to-end TCP: the binary codec without coalescing, and with
+	// per-peer batching.
 	modes := []struct {
 		name string
 		opts []transport.TCPOption
 	}{
-		{"gob", []transport.TCPOption{transport.WithCodec(transport.CodecGob), transport.WithQueueDepth(1024)}},
 		{"binary-unbatched", []transport.TCPOption{transport.WithMaxBatch(1), transport.WithQueueDepth(1024)}},
 		{"binary-batched", []transport.TCPOption{transport.WithQueueDepth(1024), transport.WithMaxBatch(512)}},
 	}
@@ -209,13 +209,12 @@ func writeTransportBenchJSON(path string, out *os.File) error {
 		}
 	}
 	report.TCP = append(report.TCP, best...)
-	gobRate := report.TCP[0].MsgsPerSec
-	batchedRate := report.TCP[2].MsgsPerSec
-	if gobRate > 0 {
-		report.SpeedupBatchedVsGob = batchedRate / gobRate
+	unbatched, batched := report.TCP[0], report.TCP[1]
+	if unbatched.MsgsPerSec > 0 {
+		report.SpeedupBatchedVsUnbatched = batched.MsgsPerSec / unbatched.MsgsPerSec
 	}
-	if report.TCP[0].BytesPerMsg > 0 {
-		report.WireShrinkVsGob = report.TCP[0].BytesPerMsg / report.TCP[2].BytesPerMsg
+	if batched.BytesPerMsg > 0 {
+		report.WireShrinkVsUnbatched = unbatched.BytesPerMsg / batched.BytesPerMsg
 	}
 	report.TotalWallClockNS = time.Since(start).Nanoseconds()
 
@@ -235,8 +234,8 @@ func writeTransportBenchJSON(path string, out *os.File) error {
 		fmt.Fprintf(out, "tcp    %-16s %9.0f msgs/sec %6.1f B/msg %8d frames batched\n",
 			e.Mode, e.MsgsPerSec, e.BytesPerMsg, e.FramesBatched)
 	}
-	fmt.Fprintf(out, "batched binary vs gob: %.1fx throughput, %.1fx fewer wire bytes/msg\n",
-		report.SpeedupBatchedVsGob, report.WireShrinkVsGob)
+	fmt.Fprintf(out, "batched vs unbatched binary: %.1fx throughput, %.1fx fewer wire bytes/msg\n",
+		report.SpeedupBatchedVsUnbatched, report.WireShrinkVsUnbatched)
 	fmt.Fprintf(out, "wrote %s (total %s)\n", path, time.Duration(report.TotalWallClockNS).Round(time.Millisecond))
 	return nil
 }

@@ -6,7 +6,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -16,8 +15,6 @@ import (
 
 	"volley"
 )
-
-func writeJSON(w http.ResponseWriter, v any) { _ = json.NewEncoder(w).Encode(v) }
 
 // fileSink is an append-only buffered JSONL file. Writes go through the
 // buffer; Close flushes the tail and closes the file, so the last lines of
@@ -64,29 +61,13 @@ func closeSinks(sinks ...*fileSink) error {
 	return err
 }
 
-// newAlertRegistry builds the mode's alert registry on top of its metrics
-// registry, tracer and the -alert-history sink.
-func newAlertRegistry(node string, opts options, reg *volley.Metrics, tracer *volley.Tracer, hist *fileSink) *volley.AlertRegistry {
-	cfg := volley.AlertConfig{
-		Node:    node,
-		TTL:     opts.alertTTL,
-		Metrics: reg,
-		Tracer:  tracer,
-	}
-	if hist != nil {
-		cfg.History = hist
-	}
-	return volley.NewAlertRegistry(cfg)
-}
-
 // registerAlertRoutes wires the operator alert API onto mux. now supplies
 // the mode's clock (wall-based in single mode, virtual in the cluster
 // modes) so ack/resolve transitions carry timestamps in the same time base
 // as raises.
 func registerAlertRoutes(mux *http.ServeMux, reg *volley.AlertRegistry, now func() time.Duration) {
 	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, reg.List())
+		writeJSON(w, http.StatusOK, reg.List())
 	})
 	op := func(do func(id uint64, at time.Duration, actor string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -111,8 +92,7 @@ func registerAlertRoutes(mux *http.ServeMux, reg *volley.AlertRegistry, now func
 				httpError(w, http.StatusNotFound, volley.ErrAlertNotFound)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			writeJSON(w, a)
+			writeJSON(w, http.StatusOK, a)
 		}
 	}
 	mux.HandleFunc("POST /alerts/{id}/ack", op(func(id uint64, at time.Duration, actor string) error {

@@ -15,12 +15,8 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -69,6 +65,79 @@ type clusterMonitorRequest struct {
 	Source string `json:"source"`
 }
 
+// taskAdmission is a validated POST /tasks body, shared by both cluster
+// modes.
+type taskAdmission struct {
+	spec        volley.ClusterTaskSpec    // Monitors holds the addresses <name>/mon/<id>
+	maxInterval int                       // the request's, or the daemon's -max-interval
+	agents      []func() (float64, error) // index-aligned with spec.Monitors
+}
+
+// validateTask checks a POST /tasks body and builds one agent per monitor,
+// so a bad source rejects the whole admission before any cluster state is
+// touched. defMaxInterval stands in for an unset maxInterval.
+func validateTask(req clusterTaskRequest, defMaxInterval int) (taskAdmission, error) {
+	if len(req.Monitors) == 0 {
+		return taskAdmission{}, fmt.Errorf("task %q has no monitors", req.Name)
+	}
+	dir, err := parseDirection(req.Direction)
+	if err != nil {
+		return taskAdmission{}, err
+	}
+	a := taskAdmission{
+		spec: volley.ClusterTaskSpec{
+			Name:      req.Name,
+			Threshold: req.Threshold,
+			Direction: dir,
+			Err:       req.Err,
+			Monitors:  make([]string, len(req.Monitors)),
+		},
+		maxInterval: req.MaxInterval,
+		agents:      make([]func() (float64, error), len(req.Monitors)),
+	}
+	if a.maxInterval == 0 {
+		a.maxInterval = defMaxInterval
+	}
+	seen := make(map[string]bool, len(req.Monitors))
+	for i, m := range req.Monitors {
+		if m.ID == "" || seen[m.ID] {
+			return taskAdmission{}, fmt.Errorf("monitor ID %q empty or duplicate", m.ID)
+		}
+		seen[m.ID] = true
+		if a.agents[i], err = buildAgent(m.Source); err != nil {
+			return taskAdmission{}, err
+		}
+		a.spec.Monitors[i] = req.Name + "/mon/" + m.ID
+	}
+	return a, nil
+}
+
+// hostedMonitorConfig configures monitor i of an admitted task, hosted on
+// network and reporting to coord. The local task decomposition is an even
+// split of the global threshold and allowance; the coordinator re-tunes
+// the allowance shares from yield reports as the run learns.
+func (d *daemon) hostedMonitorConfig(a taskAdmission, i int, network volley.Network, coord string) volley.MonitorConfig {
+	n := float64(len(a.spec.Monitors))
+	return volley.MonitorConfig{
+		ID:    a.spec.Monitors[i],
+		Task:  a.spec.Name,
+		Agent: volley.AgentFunc(a.agents[i]),
+		Sampler: volley.SamplerConfig{
+			Threshold:   a.spec.Threshold / n,
+			Direction:   a.spec.Direction,
+			Err:         a.spec.Err / n,
+			MaxInterval: a.maxInterval,
+		},
+		Network:        network,
+		Coordinator:    coord,
+		YieldEvery:     100,
+		HeartbeatEvery: 10,
+		Metrics:        d.reg,
+		Tracer:         d.tracer,
+		Alerts:         d.alertReg,
+	}
+}
+
 // clusterUpdateRequest is the PATCH /tasks/{name} body. Exactly one of
 // Threshold and Selectivity drives the retune: with Selectivity k set, the
 // daemon derives each monitor's local threshold from its live streaming
@@ -90,15 +159,11 @@ var clusterSelectivityGrid = []float64{25, 10, 5, 2, 1, 0.5, 0.2, 0.1}
 // monitors it hosts for admitted tasks, and the virtual clock the driver
 // loop advances.
 type clusterDaemon struct {
-	opts     options
+	*daemon
 	net      *volley.MemoryNetwork
 	cl       *volley.Cluster
-	tracer   *volley.Tracer
-	reg      *volley.Metrics
 	alerts   *volley.Counter
 	gateArms *volley.Counter
-	alertReg *volley.AlertRegistry
-	start    time.Time
 
 	mu   sync.Mutex
 	mons map[string][]*volley.Monitor // task name → hosted monitors
@@ -135,8 +200,9 @@ func (d *clusterDaemon) now() time.Duration {
 	return time.Duration(d.step-1) * d.opts.interval
 }
 
-// runCluster is cluster-mode main: it builds the federation, serves the
-// control plane and drives the tick loop until the context ends.
+// runCluster is cluster-mode main: it builds the federation on the shared
+// runtime, serves the control plane and drives the tick loop until the
+// context ends.
 func runCluster(ctx context.Context, opts options) error {
 	if opts.interval <= 0 {
 		return fmt.Errorf("interval must be positive, got %v", opts.interval)
@@ -144,42 +210,26 @@ func runCluster(ctx context.Context, opts options) error {
 	if opts.maxInterval < 1 {
 		return fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
+	spec := daemonSpec{node: "volleyd", tracerCap: 4096, requireListen: true}
+	return runDaemon(ctx, opts, spec, newClusterMode)
+}
 
+// newClusterMode builds the federation and its instruments on the shared
+// runtime.
+func newClusterMode(base *daemon) (mode, error) {
+	opts := base.opts
 	d := &clusterDaemon{
-		opts:        opts,
+		daemon:      base,
 		net:         volley.NewMemoryNetwork(),
-		reg:         volley.NewMetrics(),
-		start:       time.Now(),
 		mons:        make(map[string][]*volley.Monitor),
 		sketches:    make(map[string][]*volley.StreamingThresholds),
 		gates:       make(map[string][]*volley.Gate),
 		gatePred:    make(map[string]string),
 		predTargets: make(map[string][]string),
 	}
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
-	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
-	}
-	tracerOpts := []volley.TracerOption{
-		volley.WithTraceClock(func() time.Duration { return time.Since(d.start) }),
-	}
-	if opts.events {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(opts.out))
-	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(eventsSink))
-	}
-	d.tracer = volley.NewTracer(4096, tracerOpts...)
 	d.alerts = d.reg.Counter("volleyd_alerts_total", "State alerts raised across all cluster tasks.")
 	d.gateArms = d.reg.Counter("volley_cluster_gate_arms_total",
 		"Correlation gates armed by predictor violations (transitions from relaxed to adaptive).")
-	d.reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
-		return time.Since(d.start).Seconds()
-	})
 	// Bounded-memory threshold instrumentation: the sketches' total
 	// footprint stays O(1) per monitor no matter how long the daemon runs —
 	// this gauge is the live proof — and the mode/fallback counters show
@@ -199,8 +249,6 @@ func runCluster(ctx context.Context, opts options) error {
 	d.reg.CounterFunc("volley_sketch_rejected_total",
 		"Non-finite sampled values rejected by the streaming sketches.",
 		func() float64 { _, _, _, _, rej := d.sketchStats(); return float64(rej) })
-	volley.RegisterBuildInfo(d.reg, d.start)
-	d.alertReg = newAlertRegistry("volleyd", opts, d.reg, d.tracer, historySink)
 
 	shards := make([]string, opts.shards)
 	for i := range shards {
@@ -226,37 +274,10 @@ func runCluster(ctx context.Context, opts options) error {
 		},
 	})
 	if err != nil {
-		return errors.Join(err, closeSinks(eventsSink, historySink))
+		return mode{}, err
 	}
 	d.cl = cl
-	publishExpvar(d.status)
-
-	if opts.listen == "" {
-		return errors.Join(fmt.Errorf("cluster mode needs -listen (the control plane is HTTP)"),
-			closeSinks(eventsSink, historySink))
-	}
-	ln, err := net.Listen("tcp", opts.listen)
-	if err != nil {
-		return errors.Join(err, closeSinks(eventsSink, historySink))
-	}
-	if opts.onListen != nil {
-		opts.onListen(ln.Addr().String())
-	}
-	srv := &http.Server{Handler: d.mux()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	loopErr := d.loop(ctx)
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-	}
-	return errors.Join(loopErr, closeSinks(eventsSink, historySink))
+	return mode{status: d.status, now: d.now, routes: d.routes, loop: d.loop}, nil
 }
 
 // loop advances the cluster and every hosted monitor once per -interval on
@@ -264,11 +285,6 @@ func runCluster(ctx context.Context, opts options) error {
 // simulation harness uses, so wall-clock jitter never skews liveness
 // horizons.
 func (d *clusterDaemon) loop(ctx context.Context) error {
-	if d.opts.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.opts.duration)
-		defer cancel()
-	}
 	ticker := time.NewTicker(d.opts.interval)
 	defer ticker.Stop()
 	for {
@@ -381,7 +397,7 @@ func (d *clusterDaemon) status() map[string]any {
 	return map[string]any{
 		"status":         "ok",
 		"mode":           "cluster",
-		"uptime_seconds": time.Since(d.start).Seconds(),
+		"uptime_seconds": d.uptime().Seconds(),
 		"ring_epoch":     st.RingEpoch,
 		"shards":         d.cl.Shards(),
 		"tasks":          st.Tasks,
@@ -390,43 +406,16 @@ func (d *clusterDaemon) status() map[string]any {
 	}
 }
 
-// mux wires the cluster control plane and the observability endpoints.
-func (d *clusterDaemon) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.reg.WritePrometheus(w)
-		d.tracer.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.status())
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.tracer.Events())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	registerAlertRoutes(mux, d.alertReg, d.now)
-
+// routes wires the cluster control plane onto the shared HTTP surface.
+func (d *clusterDaemon) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /tasks", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.cl.Tasks())
+		writeJSON(w, http.StatusOK, d.cl.Tasks())
 	})
 	mux.HandleFunc("POST /tasks", d.handleAdmit)
 	mux.HandleFunc("PATCH /tasks/{name}", d.handleUpdate)
 	mux.HandleFunc("DELETE /tasks/{name}", d.handleEvict)
 	mux.HandleFunc("POST /shards", d.handleShardJoin)
 	mux.HandleFunc("DELETE /shards/{id}", d.handleShardDrop)
-	return mux
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 // handleAdmit admits a task: its monitors are built from the requested
@@ -434,41 +423,15 @@ func httpError(w http.ResponseWriter, code int, err error) {
 // shard.
 func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req clusterTaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Monitors) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("task %q has no monitors", req.Name))
-		return
-	}
-	dir, err := parseDirection(req.Direction)
+	a, err := validateTask(req, d.opts.maxInterval)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	maxInterval := req.MaxInterval
-	if maxInterval == 0 {
-		maxInterval = d.opts.maxInterval
-	}
-	// Build every agent before touching cluster state, so a bad source
-	// rejects the whole admission.
-	agents := make([]func() (float64, error), len(req.Monitors))
-	addrs := make([]string, len(req.Monitors))
-	seen := make(map[string]bool, len(req.Monitors))
-	for i, m := range req.Monitors {
-		if m.ID == "" || seen[m.ID] {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("monitor ID %q empty or duplicate", m.ID))
-			return
-		}
-		seen[m.ID] = true
-		agents[i], err = buildAgent(m.Source)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		addrs[i] = req.Name + "/mon/" + m.ID
-	}
+	addrs := a.spec.Monitors
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -496,7 +459,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		relaxed := req.Gate.RelaxedInterval
 		if relaxed == 0 {
-			relaxed = 4 * maxInterval
+			relaxed = 4 * a.maxInterval
 		}
 		hold := req.Gate.HoldDown
 		if hold == 0 {
@@ -512,41 +475,14 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			gs[i] = g
 		}
 	}
-	shard, err := d.cl.Admit(volley.ClusterTaskSpec{
-		Name:      req.Name,
-		Threshold: req.Threshold,
-		Direction: dir,
-		Err:       req.Err,
-		Monitors:  addrs,
-	})
+	shard, err := d.cl.Admit(a.spec)
 	if err != nil {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	n := float64(len(addrs))
 	mons := make([]*volley.Monitor, len(addrs))
-	for i, addr := range addrs {
-		cfg := volley.MonitorConfig{
-			ID:    addr,
-			Task:  req.Name,
-			Agent: volley.AgentFunc(agents[i]),
-			Sampler: volley.SamplerConfig{
-				// The local task decomposition: an even split of the global
-				// threshold and allowance; the coordinator re-tunes the
-				// allowance shares from yield reports as the run learns.
-				Threshold:   req.Threshold / n,
-				Direction:   dir,
-				Err:         req.Err / n,
-				MaxInterval: maxInterval,
-			},
-			Network:        d.net,
-			Coordinator:    d.cl.CoordinatorAddr(req.Name),
-			YieldEvery:     100,
-			HeartbeatEvery: 10,
-			Metrics:        d.reg,
-			Tracer:         d.tracer,
-			Alerts:         d.alertReg,
-		}
+	for i := range addrs {
+		cfg := d.hostedMonitorConfig(a, i, d.net, d.cl.CoordinatorAddr(req.Name))
 		if gs != nil {
 			// Assign through the concrete slice only when gated: a nil
 			// *Gate stored in the interface field would be a non-nil
@@ -593,9 +529,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		d.predTargets[req.Gate.Predictor] = append(d.predTargets[req.Gate.Predictor], req.Name)
 		resp["gate"] = map[string]any{"predictor": req.Gate.Predictor}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusCreated, resp)
 }
 
 // handleUpdate retunes a task's threshold and allowance: the cluster
@@ -609,8 +543,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 func (d *clusterDaemon) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req clusterUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	d.mu.Lock()
@@ -678,8 +611,7 @@ func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"name": name, "selectivity": req.Selectivity, "err": req.Err,
 		"threshold": total, "localThresholds": locals, "samples": samples,
 	})
@@ -737,8 +669,7 @@ func (d *clusterDaemon) handleShardJoin(w http.ResponseWriter, r *http.Request) 
 	var req struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := d.cl.AddShard(req.ID); err != nil {

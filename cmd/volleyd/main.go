@@ -40,20 +40,15 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -88,7 +83,6 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", 5, "allowance snapshot replication period in ticks (shard mode)")
 		batchWindow   = flag.Duration("batch-window", 0, "how long the peer writer waits to coalesce more messages into one frame (shard mode; 0 = ship whatever is already queued)")
 		maxBatch      = flag.Int("max-batch", transport.DefaultMaxBatch, "max messages per coalesced frame on the inter-shard fabric (shard mode; 1 disables batching)")
-		gobWire       = flag.Bool("gob-wire", false, "send legacy gob frames on the inter-shard fabric instead of the binary codec (shard mode; for mixed-version fleets)")
 	)
 	flag.Parse()
 
@@ -121,7 +115,6 @@ func main() {
 		snapshotEvery: *snapshotEvery,
 		batchWindow:   *batchWindow,
 		maxBatch:      *maxBatch,
-		gobWire:       *gobWire,
 
 		out: os.Stdout,
 	}); err != nil {
@@ -158,7 +151,6 @@ type options struct {
 	snapshotEvery int
 	batchWindow   time.Duration
 	maxBatch      int
-	gobWire       bool
 
 	out      io.Writer
 	onListen func(addr string) // test hook: reports the bound address
@@ -230,135 +222,53 @@ func run(ctx context.Context, opts options) error {
 		}()
 	}
 
-	// Observability: every run carries a live instrument registry and a
-	// decision-event tracer, whether or not an HTTP listener is attached.
-	// Instruments are atomic, so the HTTP handlers below may read them
-	// while the sampling loop writes.
-	start := time.Now()
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
-	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
-	}
-	tracerOpts := []volley.TracerOption{
-		volley.WithTraceClock(func() time.Duration { return time.Since(start) }),
-	}
-	if opts.events {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(opts.out))
-	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(eventsSink))
-	}
-	tracer := volley.NewTracer(1024, tracerOpts...)
-	reg := volley.NewMetrics()
-	volley.RegisterBuildInfo(reg, start)
-	alertReg := newAlertRegistry("volleyd", opts, reg, tracer, historySink)
-	var (
-		samplesTotal   = reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations.", "instance", "volleyd")
-		alertsTotal    = reg.Counter("volleyd_alerts_total", "State alerts raised.")
-		agentErrsTotal = reg.Counter("volleyd_agent_errors_total", "Failed sampling attempts.")
-		intervalGauge  = reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals.", "instance", "volleyd")
-		boundGauge     = reg.Gauge("volley_sampler_bound", "Last mis-detection bound.", "instance", "volleyd")
-		valueGauge     = reg.Gauge("volleyd_last_value", "Most recently sampled value.")
-	)
-	reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
-		return time.Since(start).Seconds()
-	})
-	stateSampler.Instrument(volley.SamplerObs{
-		Tracer:       tracer,
-		Node:         "volleyd",
-		Task:         opts.source,
-		Observations: samplesTotal,
-		Grows:        reg.Counter("volley_sampler_interval_grows_total", "Interval growth decisions.", "instance", "volleyd"),
-		Resets:       reg.Counter("volley_sampler_interval_resets_total", "Interval reset decisions.", "instance", "volleyd"),
-		Interval:     intervalGauge,
-		Bound:        boundGauge,
-		BoundDist:    reg.Histogram("volley_sampler_bound_dist", "Distribution of mis-detection bounds.", volley.DefBoundBuckets, "instance", "volleyd"),
-	})
-	status := func() map[string]any {
-		return map[string]any{
-			"status":         "ok",
-			"source":         opts.source,
-			"uptime_seconds": time.Since(start).Seconds(),
-			"samples":        samplesTotal.Value(),
-			"alerts":         alertsTotal.Value(),
-			"agent_errors":   agentErrsTotal.Value(),
-			"interval":       intervalGauge.Value(),
-			"bound":          boundGauge.Value(),
-		}
-	}
-	publishExpvar(status)
-
-	// The observability endpoints. The listener is created synchronously so
-	// ":0" works in tests (onListen reports the bound address) and a bad
-	// -listen value fails fast instead of dying silently in a goroutine.
-	var (
-		srv      *http.Server
-		serveErr chan error
-	)
-	if opts.listen != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w)
-			tracer.WritePrometheus(w)
+	return runDaemon(ctx, opts, daemonSpec{node: "volleyd", tracerCap: 1024}, func(d *daemon) (mode, error) {
+		var (
+			samplesTotal   = d.reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations.", "instance", "volleyd")
+			alertsTotal    = d.reg.Counter("volleyd_alerts_total", "State alerts raised.")
+			agentErrsTotal = d.reg.Counter("volleyd_agent_errors_total", "Failed sampling attempts.")
+			intervalGauge  = d.reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals.", "instance", "volleyd")
+			boundGauge     = d.reg.Gauge("volley_sampler_bound", "Last mis-detection bound.", "instance", "volleyd")
+			valueGauge     = d.reg.Gauge("volleyd_last_value", "Most recently sampled value.")
+		)
+		stateSampler.Instrument(volley.SamplerObs{
+			Tracer:       d.tracer,
+			Node:         "volleyd",
+			Task:         opts.source,
+			Observations: samplesTotal,
+			Grows:        d.reg.Counter("volley_sampler_interval_grows_total", "Interval growth decisions.", "instance", "volleyd"),
+			Resets:       d.reg.Counter("volley_sampler_interval_resets_total", "Interval reset decisions.", "instance", "volleyd"),
+			Interval:     intervalGauge,
+			Bound:        boundGauge,
+			BoundDist:    d.reg.Histogram("volley_sampler_bound_dist", "Distribution of mis-detection bounds.", volley.DefBoundBuckets, "instance", "volleyd"),
 		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(status())
-		})
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(tracer.Events())
-		})
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		registerAlertRoutes(mux, alertReg, func() time.Duration { return time.Since(start) })
-		ln, err := net.Listen("tcp", opts.listen)
-		if err != nil {
-			return errors.Join(err, closeSinks(eventsSink, historySink))
+		status := func() map[string]any {
+			return map[string]any{
+				"status":         "ok",
+				"source":         opts.source,
+				"uptime_seconds": d.uptime().Seconds(),
+				"samples":        samplesTotal.Value(),
+				"alerts":         alertsTotal.Value(),
+				"agent_errors":   agentErrsTotal.Value(),
+				"interval":       intervalGauge.Value(),
+				"bound":          boundGauge.Value(),
+			}
 		}
-		if opts.onListen != nil {
-			opts.onListen(ln.Addr().String())
+		loop := func(ctx context.Context) error {
+			return sampleLoop(ctx, opts, loopState{
+				agent:    agent,
+				sampler:  sampler,
+				agg:      agg,
+				tracer:   d.tracer,
+				alerts:   alertsTotal,
+				alertReg: d.alertReg,
+				since:    d.uptime,
+				errs:     agentErrsTotal,
+				value:    valueGauge,
+			})
 		}
-		srv = &http.Server{Handler: mux}
-		serveErr = make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
-	}
-
-	loopErr := sampleLoop(ctx, opts, loopState{
-		agent:    agent,
-		sampler:  sampler,
-		agg:      agg,
-		tracer:   tracer,
-		alerts:   alertsTotal,
-		alertReg: alertReg,
-		since:    func() time.Duration { return time.Since(start) },
-		errs:     agentErrsTotal,
-		value:    valueGauge,
+		return mode{status: status, now: d.uptime, loop: loop}, nil
 	})
-
-	// Graceful shutdown: stop accepting, drain in-flight scrapes, flush the
-	// JSONL sinks so the tail of the run is never lost, and surface any
-	// listener failure that would otherwise die silently in the goroutine.
-	if srv != nil {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-		}
-	}
-	return errors.Join(loopErr, closeSinks(eventsSink, historySink))
 }
 
 // loopState carries the sampling loop's collaborators.
@@ -375,12 +285,6 @@ type loopState struct {
 }
 
 func sampleLoop(ctx context.Context, opts options, st loopState) error {
-	if opts.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.duration)
-		defer cancel()
-	}
-
 	enc := json.NewEncoder(opts.out)
 	ticker := time.NewTicker(opts.interval)
 	defer ticker.Stop()
@@ -449,24 +353,6 @@ func sampleLoop(ctx context.Context, opts options, st loopState) error {
 			Bound:    bound,
 		})
 	}
-}
-
-// currentStatus lets the process-global expvar publication follow the most
-// recent run (tests run the daemon repeatedly; expvar.Publish panics on
-// duplicate names, so the var is published once and re-pointed per run).
-var currentStatus atomic.Value // of func() map[string]any
-
-func publishExpvar(status func() map[string]any) {
-	currentStatus.Store(status)
-	if expvar.Get("volleyd") != nil {
-		return
-	}
-	expvar.Publish("volleyd", expvar.Func(func() any {
-		if fn, ok := currentStatus.Load().(func() map[string]any); ok {
-			return fn()
-		}
-		return nil
-	}))
 }
 
 func parseDirection(s string) (volley.Direction, error) {

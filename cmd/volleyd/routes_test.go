@@ -46,23 +46,12 @@ func observabilityRoutes() []routeRow {
 	}
 }
 
-// pprofHandlerRoutes are the pprof handlers outside pprof.Index.
+// pprofHandlerRoutes are the pprof handlers registered beside the index.
 func pprofHandlerRoutes() []routeRow {
 	return []routeRow{
 		{"GET", "/debug/pprof/profile?seconds=1", "", 200, ctBinary},
 		{"GET", "/debug/pprof/symbol", "", 200, ctText},
 		{"GET", "/debug/pprof/trace?seconds=0.05", "", 200, ctBinary},
-	}
-}
-
-// clusterPprofRoutes is what the two cluster modes answer on the same
-// paths: they register no handler there, so pprof.Index reports an
-// unknown profile.
-func clusterPprofRoutes() []routeRow {
-	return []routeRow{
-		{"GET", "/debug/pprof/profile?seconds=1", "", 404, ctText},
-		{"GET", "/debug/pprof/symbol", "", 404, ctText},
-		{"GET", "/debug/pprof/trace?seconds=0.05", "", 404, ctText},
 	}
 }
 
@@ -93,7 +82,7 @@ func TestRouteTable(t *testing.T) {
 		{
 			name: "shards",
 			opts: options{shards: 2},
-			rows: concatRows(observabilityRoutes(), clusterPprofRoutes(), []routeRow{
+			rows: concatRows(observabilityRoutes(), pprofHandlerRoutes(), []routeRow{
 				{"GET", "/tasks", "", 200, ctJSON},
 				{"POST", "/tasks", "{", 400, ctJSON},
 				{"POST", "/tasks", `{"name":"empty","threshold":1,"err":0.05}`, 400, ctJSON},
@@ -118,7 +107,7 @@ func TestRouteTable(t *testing.T) {
 		{
 			name: "shard-id",
 			opts: options{shardID: "a", peerListen: "127.0.0.1:0", beaconEvery: 2, suspectAfter: 8, deadAfter: 16, snapshotEvery: 5},
-			rows: concatRows(observabilityRoutes(), clusterPprofRoutes(), []routeRow{
+			rows: concatRows(observabilityRoutes(), pprofHandlerRoutes(), []routeRow{
 				{"GET", "/tasks", "", 200, ctJSON},
 				{"GET", "/cluster", "", 200, ctJSON},
 				{"POST", "/tasks", "{", 400, ctJSON},
@@ -184,4 +173,47 @@ func routeProbe(t *testing.T, method, url, body string) (int, string) {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, resp.Header.Get("Content-Type")
+}
+
+// TestRequestBodyBound POSTs bodies past maxRequestBody to every route
+// that decodes one, in both cluster modes: each answers 413 instead of
+// buffering the body. A body just under the bound still reaches
+// validation.
+func TestRequestBodyBound(t *testing.T) {
+	padded := func(n int) string { return `{"name":"` + strings.Repeat("a", n) + `"}` }
+	over, under := padded(2*maxRequestBody), padded(maxRequestBody-64)
+	modes := []struct {
+		name   string
+		opts   options
+		routes [][2]string // method, path
+	}{
+		{"shards", options{shards: 2}, [][2]string{
+			{"POST", "/tasks"}, {"PATCH", "/tasks/cpu"}, {"POST", "/shards"},
+		}},
+		{"shard-id", options{shardID: "a", peerListen: "127.0.0.1:0", beaconEvery: 2, suspectAfter: 8, deadAfter: 16, snapshotEvery: 5},
+			[][2]string{{"POST", "/tasks"}, {"PATCH", "/tasks/cpu/allowance"}}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := m.opts
+			opts.interval = 20 * time.Millisecond
+			opts.maxInterval = 5
+			opts.out = io.Discard
+			addr, done := startDaemon(t, ctx, opts)
+			for _, r := range m.routes {
+				if code, ctype := routeProbe(t, r[0], "http://"+addr+r[1], over); code != http.StatusRequestEntityTooLarge || ctype != ctJSON {
+					t.Errorf("%s %s oversized: got %d %q, want 413 %q", r[0], r[1], code, ctype, ctJSON)
+				}
+			}
+			if code, _ := routeProbe(t, "POST", "http://"+addr+"/tasks", under); code != http.StatusBadRequest {
+				t.Errorf("POST /tasks just under the bound: got %d, want 400 (no monitors)", code)
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		})
+	}
 }

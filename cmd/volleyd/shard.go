@@ -19,23 +19,15 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"volley/internal/alerts"
+	"volley"
 	"volley/internal/cluster"
-	"volley/internal/core"
-	"volley/internal/monitor"
-	"volley/internal/obs"
 	"volley/internal/transport"
 )
 
@@ -59,7 +51,7 @@ type tcpFabric struct {
 	handler atomic.Pointer[transport.Handler]
 }
 
-func newTCPFabric(listen string, tr *obs.Tracer, name string, opts ...transport.TCPOption) (*tcpFabric, error) {
+func newTCPFabric(listen string, tr *volley.Tracer, name string, opts ...transport.TCPOption) (*tcpFabric, error) {
 	f := &tcpFabric{}
 	opts = append([]transport.TCPOption{transport.WithObserver(tr, name)}, opts...)
 	node, err := transport.ListenTCP(listen, func(msg transport.Message) {
@@ -95,21 +87,17 @@ func (f *tcpFabric) Deregister(addr string) error { return f.node.Deregister(add
 // owned tasks. It implements cluster.TaskHost — the node calls StartTask
 // and StopTask as ownership moves.
 type shardDaemon struct {
-	opts     options
-	node     *cluster.Node
-	fabric   *tcpFabric
-	local    *transport.Memory
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	alerts   *obs.Counter
-	alertReg *alerts.Registry
-	start    time.Time
+	*daemon
+	node   *cluster.Node
+	fabric *tcpFabric
+	local  *transport.Memory
+	alerts *volley.Counter
 
 	encMu sync.Mutex
 	enc   *json.Encoder
 
 	mu   sync.Mutex
-	mons map[string][]*monitor.Monitor
+	mons map[string][]*volley.Monitor
 	step uint64
 }
 
@@ -149,9 +137,6 @@ func runShard(ctx context.Context, opts options) error {
 	if opts.maxInterval < 1 {
 		return fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
-	if opts.listen == "" {
-		return fmt.Errorf("shard mode needs -listen (the control plane is HTTP)")
-	}
 	if opts.peerListen == "" {
 		return fmt.Errorf("shard mode needs -peer-listen (the inter-shard fabric)")
 	}
@@ -159,56 +144,21 @@ func runShard(ctx context.Context, opts options) error {
 	if err != nil {
 		return err
 	}
+	spec := daemonSpec{node: opts.shardID, tracerCap: 4096, requireListen: true}
+	return runDaemon(ctx, opts, spec, func(base *daemon) (mode, error) { return newShardMode(base, peers) })
+}
 
+// newShardMode builds the TCP fabric and the cluster node on the shared
+// runtime.
+func newShardMode(base *daemon, peers []cluster.Member) (mode, error) {
+	opts := base.opts
 	d := &shardDaemon{
-		opts:  opts,
-		local: transport.NewMemory(),
-		reg:   obs.NewRegistry(),
-		start: time.Now(),
-		mons:  make(map[string][]*monitor.Monitor),
-		enc:   json.NewEncoder(opts.out),
+		daemon: base,
+		local:  transport.NewMemory(),
+		mons:   make(map[string][]*volley.Monitor),
+		enc:    json.NewEncoder(opts.out),
 	}
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
-	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
-	}
-	defer func() {
-		// Flush the JSONL tails on every exit path, including fabric and
-		// listener setup errors.
-		if err := closeSinks(eventsSink, historySink); err != nil {
-			fmt.Fprintln(os.Stderr, "volleyd: close sinks:", err)
-		}
-	}()
-	tracerOpts := []obs.TracerOption{
-		obs.WithNowFunc(func() time.Duration { return time.Since(d.start) }),
-	}
-	if opts.events {
-		tracerOpts = append(tracerOpts, obs.WithJSONLSink(opts.out))
-	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, obs.WithJSONLSink(eventsSink))
-	}
-	d.tracer = obs.NewTracer(4096, tracerOpts...)
 	d.alerts = d.reg.Counter("volleyd_alerts_total", "State alerts raised across all owned tasks.")
-	d.reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
-		return time.Since(d.start).Seconds()
-	})
-	obs.RegisterBuildInfo(d.reg, d.start)
-	alertCfg := alerts.Config{
-		Node:    opts.shardID,
-		TTL:     opts.alertTTL,
-		Metrics: d.reg,
-		Tracer:  d.tracer,
-	}
-	if historySink != nil {
-		alertCfg.History = historySink
-	}
-	d.alertReg = alerts.New(alertCfg)
-
 	fabricOpts := []transport.TCPOption{}
 	if opts.batchWindow != 0 {
 		fabricOpts = append(fabricOpts, transport.WithBatchWindow(opts.batchWindow))
@@ -216,14 +166,10 @@ func runShard(ctx context.Context, opts options) error {
 	if opts.maxBatch != 0 {
 		fabricOpts = append(fabricOpts, transport.WithMaxBatch(opts.maxBatch))
 	}
-	if opts.gobWire {
-		fabricOpts = append(fabricOpts, transport.WithCodec(transport.CodecGob))
+	var err error
+	if d.fabric, err = newTCPFabric(opts.peerListen, d.tracer, opts.shardID, fabricOpts...); err != nil {
+		return mode{}, err
 	}
-	d.fabric, err = newTCPFabric(opts.peerListen, d.tracer, opts.shardID, fabricOpts...)
-	if err != nil {
-		return err
-	}
-	defer d.fabric.node.Close()
 	// Wire traffic next to the task metrics: bytes on the fabric, frames
 	// coalesced, queue depths per peer.
 	d.fabric.node.RegisterMetrics(d.reg)
@@ -253,32 +199,10 @@ func runShard(ctx context.Context, opts options) error {
 		Alerts:  d.alertReg,
 	})
 	if err != nil {
-		return err
+		_ = d.fabric.node.Close()
+		return mode{}, err
 	}
-	publishExpvar(d.status)
-
-	ln, err := net.Listen("tcp", opts.listen)
-	if err != nil {
-		return err
-	}
-	if opts.onListen != nil {
-		opts.onListen(ln.Addr().String())
-	}
-	srv := &http.Server{Handler: d.mux()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	loopErr := d.loop(ctx)
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return errors.Join(loopErr, err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return errors.Join(loopErr, err)
-	}
-	return loopErr
+	return mode{status: d.status, now: d.now, routes: d.routes, loop: d.loop, close: d.fabric.node.Close}, nil
 }
 
 // loop drives the node and the hosted monitors once per -interval on a
@@ -286,11 +210,6 @@ func runShard(ctx context.Context, opts options) error {
 // modes use, so liveness and replication horizons configured in ticks
 // never skew with wall-clock jitter.
 func (d *shardDaemon) loop(ctx context.Context) error {
-	if d.opts.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.opts.duration)
-		defer cancel()
-	}
 	ticker := time.NewTicker(d.opts.interval)
 	defer ticker.Stop()
 	for {
@@ -307,7 +226,7 @@ func (d *shardDaemon) loop(ctx context.Context) error {
 		// settle before the monitor pass snapshots the hosted set.
 		d.node.Tick(now)
 		d.mu.Lock()
-		mons := make([]*monitor.Monitor, 0, len(d.mons)*2)
+		mons := make([]*volley.Monitor, 0, len(d.mons)*2)
 		for _, ms := range d.mons {
 			mons = append(mons, ms...)
 		}
@@ -330,50 +249,22 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 	if err := json.Unmarshal(hostSpec, &hs); err != nil {
 		return fmt.Errorf("host spec for %q: %w", spec.Name, err)
 	}
-	dir, err := parseDirection(hs.Direction)
+	a, err := validateTask(clusterTaskRequest{
+		Name:        spec.Name,
+		Threshold:   spec.Threshold,
+		Direction:   hs.Direction,
+		Err:         spec.Err,
+		MaxInterval: hs.MaxInterval,
+		Monitors:    hs.Monitors,
+	}, d.opts.maxInterval)
 	if err != nil {
 		return err
 	}
-	maxInterval := hs.MaxInterval
-	if maxInterval == 0 {
-		maxInterval = d.opts.maxInterval
-	}
-	n := float64(len(hs.Monitors))
-	if n == 0 {
-		return fmt.Errorf("host spec for %q has no monitors", spec.Name)
-	}
-	mons := make([]*monitor.Monitor, len(hs.Monitors))
-	addrs := make([]string, len(hs.Monitors))
-	for i, mreq := range hs.Monitors {
-		agent, err := buildAgent(mreq.Source)
-		if err != nil {
-			return err
-		}
-		addrs[i] = spec.Name + "/mon/" + mreq.ID
-		mons[i], err = monitor.New(monitor.Config{
-			ID:    addrs[i],
-			Task:  spec.Name,
-			Agent: monitor.AgentFunc(agent),
-			Sampler: core.Config{
-				// The local task decomposition: an even split of the global
-				// threshold and allowance; the coordinator re-tunes the
-				// allowance shares from yield reports as the run learns.
-				Threshold:   spec.Threshold / n,
-				Direction:   core.Direction(dir),
-				Err:         spec.Err / n,
-				MaxInterval: maxInterval,
-			},
-			Network:        d.local,
-			Coordinator:    coordAddr,
-			YieldEvery:     100,
-			HeartbeatEvery: 10,
-			Metrics:        d.reg,
-			Tracer:         d.tracer,
-			Alerts:         d.alertReg,
-		})
-		if err != nil {
-			for _, a := range addrs[:i] {
-				_ = d.local.Deregister(a)
+	mons := make([]*volley.Monitor, len(a.spec.Monitors))
+	for i := range mons {
+		if mons[i], err = volley.NewMonitor(d.hostedMonitorConfig(a, i, d.local, coordAddr)); err != nil {
+			for _, addr := range a.spec.Monitors[:i] {
+				_ = d.local.Deregister(addr)
 			}
 			return err
 		}
@@ -404,7 +295,7 @@ func (d *shardDaemon) status() map[string]any {
 		"status":         "ok",
 		"mode":           "shard",
 		"shard":          st.ID,
-		"uptime_seconds": time.Since(d.start).Seconds(),
+		"uptime_seconds": d.uptime().Seconds(),
 		"ring_digest":    fmt.Sprintf("%016x", st.RingDigest),
 		"ring_members":   st.RingMembers,
 		"owned":          len(st.Owned),
@@ -415,39 +306,17 @@ func (d *shardDaemon) status() map[string]any {
 	}
 }
 
-// mux wires the shard control plane and the observability endpoints.
-func (d *shardDaemon) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.reg.WritePrometheus(w)
-		d.tracer.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.status())
-	})
+// routes wires the shard control plane onto the shared HTTP surface.
+func (d *shardDaemon) routes(mux *http.ServeMux) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.node.Status())
+		writeJSON(w, http.StatusOK, d.node.Status())
 	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.tracer.Events())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	registerAlertRoutes(mux, d.alertReg, d.now)
-
 	mux.HandleFunc("GET /tasks", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.node.Catalog())
+		writeJSON(w, http.StatusOK, d.node.Catalog())
 	})
 	mux.HandleFunc("POST /tasks", d.handleShardAdmit)
 	mux.HandleFunc("DELETE /tasks/{name}", d.handleShardRemove)
 	mux.HandleFunc("PATCH /tasks/{name}/allowance", d.handleShardAllowance)
-	return mux
 }
 
 // handleShardAdmit enters a task into the gossiped catalog. The sources
@@ -456,32 +325,13 @@ func (d *shardDaemon) mux() *http.ServeMux {
 // the next tick and may land on any shard.
 func (d *shardDaemon) handleShardAdmit(w http.ResponseWriter, r *http.Request) {
 	var req clusterTaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Monitors) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("task %q has no monitors", req.Name))
-		return
-	}
-	dir, err := parseDirection(req.Direction)
+	a, err := validateTask(req, d.opts.maxInterval)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	addrs := make([]string, len(req.Monitors))
-	seen := make(map[string]bool, len(req.Monitors))
-	for i, m := range req.Monitors {
-		if m.ID == "" || seen[m.ID] {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("monitor ID %q empty or duplicate", m.ID))
-			return
-		}
-		seen[m.ID] = true
-		if _, err := buildAgent(m.Source); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		addrs[i] = req.Name + "/mon/" + m.ID
 	}
 	hostSpec, err := json.Marshal(shardHostSpec{
 		Direction:   req.Direction,
@@ -492,20 +342,12 @@ func (d *shardDaemon) handleShardAdmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := d.node.Admit(cluster.TaskSpec{
-		Name:      req.Name,
-		Threshold: req.Threshold,
-		Direction: core.Direction(dir),
-		Err:       req.Err,
-		Monitors:  addrs,
-	}, hostSpec); err != nil {
+	if err := d.node.Admit(a.spec, hostSpec); err != nil {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"name": req.Name, "monitors": addrs,
+	writeJSON(w, http.StatusCreated, map[string]any{
+		"name": req.Name, "monitors": a.spec.Monitors,
 	})
 }
 
@@ -532,8 +374,7 @@ type shardAllowanceRequest struct {
 func (d *shardDaemon) handleShardAllowance(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req shardAllowanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Assignments) == 0 {

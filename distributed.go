@@ -127,29 +127,17 @@ func WithNetworkReorder(p float64, seed int64) transport.MemoryOption {
 }
 
 // TCPNode is one endpoint of a TCP network for real deployments. Messages
-// travel on a hand-rolled zero-allocation binary wire codec by default
-// (gob remains available as a negotiated fallback), and the per-peer
-// writer coalesces queued messages into batch frames. Sending is
+// travel on a hand-rolled zero-allocation binary wire codec, and the
+// per-peer writer coalesces queued messages into batch frames. Sending is
 // asynchronous — per-peer outbound queues, dial/write deadlines and
 // bounded-exponential reconnect backoff — so a dead peer never blocks a
 // caller, and receivers deduplicate reconnect retransmissions by sequence
 // number.
 type TCPNode = transport.TCPNode
 
-// TCPOption configures a TCPNode (codec, batching, deadlines, queue
-// depth, reconnect backoff, dedup window).
+// TCPOption configures a TCPNode (batching, deadlines, queue depth,
+// reconnect backoff, dedup window).
 type TCPOption = transport.TCPOption
-
-// Codec selects the wire encoding a TCPNode offers when connecting.
-type Codec = transport.Codec
-
-// Wire codecs: CodecBinary is the default zero-allocation binary format;
-// CodecGob is the legacy stdlib-gob stream kept as a compatibility
-// fallback (a binary node talking to a gob-only node degrades to gob).
-const (
-	CodecBinary = transport.CodecBinary
-	CodecGob    = transport.CodecGob
-)
 
 // TCP node options; see the transport package for semantics and defaults.
 func WithTCPDialTimeout(d time.Duration) TCPOption { return transport.WithDialTimeout(d) }
@@ -160,10 +148,6 @@ func WithTCPDedupWindow(window int) TCPOption      { return transport.WithDedupW
 func WithTCPReconnectBackoff(min, max time.Duration) TCPOption {
 	return transport.WithReconnectBackoff(min, max)
 }
-
-// WithTCPCodec selects the wire encoding offered at connect time
-// (default CodecBinary).
-func WithTCPCodec(c Codec) TCPOption { return transport.WithCodec(c) }
 
 // WithTCPBatchWindow bounds how long the per-peer writer waits for more
 // queued messages before shipping a partially filled batch frame.

@@ -1,6 +1,6 @@
 // TCP cluster: the same distributed state-monitoring task as examples/ddos,
 // but with monitors and coordinator communicating over real TCP sockets on
-// localhost (the gob transport), showing how Volley deploys outside the
+// localhost (the binary wire codec), showing how Volley deploys outside the
 // simulation harness — including how it rides out a monitor crash.
 //
 // The run scripts a full failure cycle: a healthy cluster, one monitor

@@ -110,41 +110,6 @@ func TestTCPBatchWindowCoalesces(t *testing.T) {
 	}
 }
 
-// TestTCPGobSenderToBinaryListener: a node pinned to the legacy codec
-// talks to a default (binary-capable) listener — the rolling-upgrade
-// old→new direction. The preamble sniff must route it to the gob path.
-func TestTCPGobSenderToBinaryListener(t *testing.T) {
-	recv := make(chan Message, 8)
-	server, err := ListenTCP("127.0.0.1:0", func(m Message) { recv <- m }, fastOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	legacy, err := ListenTCP("127.0.0.1:0", func(Message) {},
-		fastOpts(WithCodec(CodecGob))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-
-	want := Message{Kind: KindYieldReport, Task: "cpu", Reduction: 0.25, Needed: 0.1}
-	if err := legacy.Send(legacy.Addr(), server.Addr(), want); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-recv:
-		if m.Kind != want.Kind || m.Task != want.Task || m.Reduction != want.Reduction {
-			t.Errorf("gob→binary-listener message corrupted: %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("legacy gob sender message never arrived")
-	}
-	if st := legacy.Stats(); st.FramesBatched != 0 {
-		t.Errorf("gob codec reported batched frames: %+v", st)
-	}
-}
-
 // TestTCPBinarySenderRoundTrip: the new→new direction, with every field
 // class exercised, end to end through a real connection.
 func TestTCPBinarySenderRoundTrip(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Binary wire codec. The message vocabulary is nine fixed kinds with a
-// dozen scalar fields, which gob serves with a reflective encode, a
+// dozen scalar fields, which stdlib gob serves with a reflective encode, a
 // per-stream type dictionary and one syscall-sized write per message. At
 // coordinator-ingest scale the bytes and the allocations are the cost, so
 // the hot path hand-rolls its frames instead:
@@ -48,10 +48,10 @@ import (
 // negative zero survive the round trip exactly. There is no per-frame
 // checksum: TCP already checksums the stream, and the one payload that
 // must survive application-level relays — the replicated allowance
-// snapshot — carries its own CRC32 (cluster.EncodeSnapshot). The
-// preamble's first byte (0xB1) can never begin a gob stream (gob's
-// leading length byte is < 0x80 or >= 0xF8), which is what lets a
-// listener sniff one byte and fall back to gob for legacy dialers.
+// snapshot — carries its own CRC32 (cluster.EncodeSnapshot). A listener
+// reads the preamble before anything else and drops a connection that
+// does not open with it, so a foreign protocol or an unknown codec
+// version is never decoded.
 const (
 	// codecPreambleByte is the first byte a binary-codec dialer writes.
 	codecPreambleByte = 0xB1
@@ -417,7 +417,7 @@ func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 // appending each decoded message to msgs — decoded in place, so the
 // hot read loop pays no per-message struct copies. Any error leaves the
 // connection state poisoned by construction — the caller must drop the
-// connection, exactly like a gob decode failure.
+// connection.
 func (d *frameDecoder) decodeBodyInto(body []byte, msgs []Message) ([]Message, error) {
 	if len(body) == 0 {
 		return msgs, fmt.Errorf("%w: empty frame body", ErrFrameTruncated)

@@ -1,12 +1,30 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/gob"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// writeRawFrames writes the binary-codec preamble and then one frame per
+// message on conn, the way a peer's writer does without coalescing.
+func writeRawFrames(t *testing.T, conn net.Conn, msgs ...Message) {
+	t.Helper()
+	buf := append([]byte(nil), codecPreamble[:]...)
+	for i := range msgs {
+		var err error
+		if buf, err = AppendFrame(buf, &msgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // fastOpts keeps TCP fault-handling timings test-sized.
 func fastOpts(extra ...TCPOption) []TCPOption {
@@ -126,12 +144,7 @@ func TestTCPReceiveDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc := gob.NewEncoder(conn)
-		for _, m := range msgs {
-			if err := enc.Encode(m); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeRawFrames(t, conn, msgs...)
 		// Wait for the node to drain this connection.
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
@@ -146,11 +159,12 @@ func TestTCPReceiveDedup(t *testing.T) {
 
 	// Same Seq on one connection, then a "retransmission" on a fresh one:
 	// dedup state must span connections.
-	send(Message{From: "peer", Seq: 7, Value: 1}, Message{From: "peer", Seq: 7, Value: 2})
-	send(Message{From: "peer", Seq: 7, Value: 3})
-	send(Message{From: "peer", Seq: 8, Value: 4})
+	hb := KindHeartbeat
+	send(Message{Kind: hb, From: "peer", Seq: 7, Value: 1}, Message{Kind: hb, From: "peer", Seq: 7, Value: 2})
+	send(Message{Kind: hb, From: "peer", Seq: 7, Value: 3})
+	send(Message{Kind: hb, From: "peer", Seq: 8, Value: 4})
 	// A different sender may reuse the same Seq freely.
-	send(Message{From: "other", Seq: 7, Value: 5})
+	send(Message{Kind: hb, From: "other", Seq: 7, Value: 5})
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -183,12 +197,8 @@ func TestTCPSeqZeroBypassesDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	for i := 0; i < 3; i++ {
-		if err := enc.Encode(Message{From: "raw", Kind: KindHeartbeat}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	msg := Message{From: "raw", Kind: KindHeartbeat}
+	writeRawFrames(t, conn, msg, msg, msg)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()
@@ -200,6 +210,49 @@ func TestTCPSeqZeroBypassesDedup(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("delivered %d, want 3", count)
+}
+
+// TestTCPDropsConnectionWithoutPreamble: the wire is binary-only, so a
+// dialer that does not open with the codec preamble — here a stream of
+// gob-encoded Messages — is disconnected and nothing it sent is
+// delivered.
+func TestTCPDropsConnectionWithoutPreamble(t *testing.T) {
+	var delivered atomic.Int64
+	node, err := ListenTCP("127.0.0.1:0", func(Message) { delivered.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	for i := 0; i < 3; i++ {
+		if err := enc.Encode(Message{Kind: KindHeartbeat, From: "legacy", Seq: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The write may already be refused: the node hangs up after reading
+	// four bytes that are not the preamble.
+	_, _ = conn.Write(stream.Bytes())
+	// The node closes its end: the read sees EOF (or a reset), never data.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	if n, err := conn.Read(b[:]); err == nil || n != 0 {
+		t.Fatalf("connection without preamble stayed open (read %d bytes, err %v)", n, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("connection without preamble stayed open past 5s")
+	}
+	if got := delivered.Load(); got != 0 {
+		t.Errorf("delivered %d messages from a connection without preamble, want 0", got)
+	}
+	if st := node.Stats(); st.Delivered != 0 || st.Duplicates != 0 {
+		t.Errorf("stats = %+v, want nothing delivered", st)
+	}
 }
 
 func TestSeqWindowEviction(t *testing.T) {

@@ -7,8 +7,9 @@
 //   - Memory: a deterministic in-process network used by the simulation
 //     harness, with optional message loss and delivery delay for failure
 //     injection.
-//   - TCP (tcp.go): a gob-over-TCP network for running real distributed
-//     deployments (see examples/tcpcluster).
+//   - TCP (tcp.go): a network over TCP with a binary wire codec
+//     (codec.go) for running real distributed deployments (see
+//     examples/tcpcluster).
 //
 // Both count traffic, since communication cost is part of what the paper's
 // local-task decomposition minimizes.
